@@ -1,11 +1,9 @@
-"""Latency/throughput frontier of deadline-aware adaptive batching.
+"""Latency/throughput frontier of work-conserving adaptive batching.
 
-PR 1's engine batched for throughput alone: flush on ``max_batch_size``
-or an explicit call, so a lone queued span could wait unboundedly.  The
-:class:`~repro.serving.BatchScheduler` trades queue depth against the
-oldest request's remaining SLO budget and adapts the batch limit online
-from observed per-batch latency.  This bench measures both sides of the
-frontier, plus the hot-reload protocol:
+The engine dispatches whatever is pending as soon as a backend slot is
+free, and the :class:`~repro.serving.BatchScheduler` adapts the batch
+limit online from observed per-batch latency.  This bench measures both
+sides of the frontier, plus the hot-reload protocol:
 
 * **dense phase** — 8 concurrent streams submitting back-to-back: the
   adaptive scheduler must sustain >= 2x the events/sec of per-event
@@ -13,7 +11,7 @@ frontier, plus the hot-reload protocol:
   the 50 ms SLO.  (On this workload a full 32-batch takes *longer* than
   the SLO, so holding it requires the adaptive limit, not just luck.)
 * **sparse phase** — one span every few milliseconds: depth never
-  reaches the batch limit, so every flush must be deadline-forced; p95
+  reaches the batch limit, so every flush is a slot-free dispatch; p95
   must still meet the SLO.
 * **hot reload** — a checkpoint overwritten mid-serve is picked up via
   ``ModelRegistry.load(..., on_change=engine.swap_system)``: no pending
@@ -49,7 +47,7 @@ SLO_MS = 50.0
 #: The acceptance bar: adaptive batching must at least double throughput
 #: over per-event inference while holding the SLO.
 MIN_SPEEDUP = 2.0
-#: Sparse phase: one arrival per gap; all flushes must be deadline-forced.
+#: Sparse phase: one arrival per gap; every flush is a slot-free dispatch.
 SPARSE_EVENTS = 40
 SPARSE_GAP_S = 0.005
 
@@ -65,13 +63,10 @@ def _stream_samples(num_streams: int, rounds: int, seed: int = 3) -> np.ndarray:
 def _warmed_engine(system) -> InferenceEngine:
     """Engine + scheduler with a fitted latency model (warm start).
 
-    ``safety``/``margin_ms`` leave headroom for what the policy cannot
-    see: the serving loop only polls once per arrival gap (~5 ms here),
-    and the latency model carries a few ms of prediction error.
+    ``safety`` leaves headroom for what the policy cannot see: the
+    latency model carries a few ms of prediction error.
     """
-    scheduler = BatchScheduler(
-        slo_ms=SLO_MS, max_batch=MAX_BATCH, safety=0.7, margin_ms=10.0
-    )
+    scheduler = BatchScheduler(slo_ms=SLO_MS, max_batch=MAX_BATCH, safety=0.7)
     engine = InferenceEngine(system, max_batch_size=MAX_BATCH, scheduler=scheduler)
     samples = _stream_samples(NUM_STREAMS, 3, seed=17)
     engine.predict_one(samples[0, 0])  # BLAS pools / allocator
@@ -79,7 +74,7 @@ def _warmed_engine(system) -> InferenceEngine:
         engine.predict_many(samples[:, round_idx])
     # Keep the latency model, reset the counters the phases report.
     scheduler.stats.depth_flushes = 0
-    scheduler.stats.deadline_flushes = 0
+    scheduler.stats.slot_flushes = 0
     scheduler.stats.queue_window.clear()
     return engine
 
@@ -100,7 +95,7 @@ def _dense_phase(engine: InferenceEngine, samples: np.ndarray) -> dict:
     scheduler = engine.scheduler
     scheduler.stats.queue_window.clear()  # per-run p95
     depth_before = scheduler.stats.depth_flushes
-    deadline_before = scheduler.stats.deadline_flushes
+    slot_before = scheduler.stats.slot_flushes
     tickets = []
     start = time.perf_counter()
     for round_idx in range(rounds):
@@ -116,17 +111,17 @@ def _dense_phase(engine: InferenceEngine, samples: np.ndarray) -> dict:
         "queue_p95_ms": scheduler.queue_p95_ms,
         "batch_limit": scheduler.batch_limit,
         "depth_flushes": scheduler.stats.depth_flushes - depth_before,
-        "deadline_flushes": scheduler.stats.deadline_flushes - deadline_before,
+        "slot_flushes": scheduler.stats.slot_flushes - slot_before,
         "mean_batch": engine.stats.mean_batch,
     }
 
 
 def _sparse_phase(engine: InferenceEngine, samples: np.ndarray) -> dict:
-    """One span every few ms: flushes must be deadline-forced, SLO held."""
+    """One span every few ms: slot-free dispatches only, SLO held."""
     scheduler = engine.scheduler
     scheduler.stats.queue_window.clear()
     depth_before = scheduler.stats.depth_flushes
-    deadline_before = scheduler.stats.deadline_flushes
+    slot_before = scheduler.stats.slot_flushes
     flat = samples.reshape(-1, *samples.shape[2:])
     tickets = []
     for i in range(SPARSE_EVENTS):
@@ -138,7 +133,7 @@ def _sparse_phase(engine: InferenceEngine, samples: np.ndarray) -> dict:
     return {
         "events": len(tickets),
         "queue_p95_ms": scheduler.queue_p95_ms,
-        "deadline_flushes": scheduler.stats.deadline_flushes - deadline_before,
+        "slot_flushes": scheduler.stats.slot_flushes - slot_before,
         "depth_flushes": scheduler.stats.depth_flushes - depth_before,
     }
 
@@ -228,7 +223,7 @@ def _report(results) -> list[str]:
         format_row(("adaptive batch limit", dense["batch_limit"]), widths),
         format_row(("dense mean batch", f"{dense['mean_batch']:.1f}"), widths),
         format_row(("sparse queue p95", f"{sparse['queue_p95_ms']:.1f} ms"), widths),
-        format_row(("sparse deadline flushes", sparse["deadline_flushes"]), widths),
+        format_row(("sparse slot-free flushes", sparse["slot_flushes"]), widths),
         format_row(("reload: delivered/dropped",
                     f"{reload_result['delivered']}/{reload_result['dropped']}"), widths),
         format_row(("reload: versions",
@@ -262,7 +257,7 @@ def _check(results) -> None:
             f"sparse-phase p95 {sparse['queue_p95_ms']:.1f} ms broke the "
             f"{SLO_MS:.0f} ms SLO"
         )
-        assert sparse["deadline_flushes"] >= 1, "sparse phase never deadline-flushed"
+        assert sparse["slot_flushes"] >= 1, "sparse phase never dispatched on a free slot"
     assert reload_result["dropped"] == 0
     assert reload_result["delivered"] == 8
     assert reload_result["versions_before_swap"] == [0]  # old weights only

@@ -6,21 +6,20 @@ supervisor's hang deadline — seconds of p99 for a pool that is
 otherwise healthy.  This bench drives the two tail cures end to end:
 
 * **Tail phase** — a paced request stream (bursts of ``BURST`` arrivals
-  every ``BURST_PERIOD_S``, each burst held by the scheduler's deadline
-  flush into one micro-batch) runs over a 2-worker process pool while
-  ``inject_fault("hang_in_task")`` wedges a worker at three points
-  during the run.  Because every request in a burst shares its arrival
-  and its deadline-driven assembly wait, the healthy latency
-  distribution is *narrow*: p50 ≈ assembly + exec, and the assembly
-  wait dominates.  The *baseline* leg serves with hedging off: every
+  every ``BURST_PERIOD_S``, each burst submitted together and dispatched
+  as one micro-batch by the next poll that finds a free slot) runs over
+  a 2-worker process pool while ``inject_fault("hang_in_task")`` wedges
+  a worker at three points during the run.  Dispatch is work-conserving,
+  so the healthy latency distribution is *narrow*: p50 ≈ exec plus
+  executor queueing.  The *baseline* leg serves with hedging off: every
   hang stalls its batch for the full hang deadline and the run's p99
   explodes past ``TAIL_RATIO`` x p50.  The *hedged* leg re-runs the
   identical schedule with ``hedge_ms`` armed (plus worker CPU pinning):
   outlived batches are duplicated to a spare slot, first result wins,
-  and the victims land at assembly + threshold + exec — under the
-  ``TAIL_RATIO`` x p50 bar precisely because the constant assembly wait
-  is priced into both sides.  Both legs assert zero lost / duplicated /
-  failed tickets unconditionally — hedging must never double-deliver.
+  and the victims land at threshold + exec, which the strict-mode bar
+  holds under ``TAIL_RATIO`` x p50.  Both legs assert zero lost /
+  duplicated / failed tickets unconditionally — hedging must never
+  double-deliver.
 * **Precision phase** — a full-size random-weight parallel system runs
   one batch through the float64 reference and the ``apply_precision``
   float32 / int8 variants: the float32 fast path must clear
@@ -66,11 +65,9 @@ SLO_MS = 150.0
 MAX_BATCH = 8
 TOTAL_REQUESTS = 240
 #: Arrival shape: ``BURST`` requests land together every
-#: ``BURST_PERIOD_S``.  The burst is smaller than ``MAX_BATCH`` so the
-#: scheduler *holds* it until its deadline slack runs out — every
-#: request in the burst pays the same assembly wait, and that constant
-#: wait (~SLO minus predicted exec) dominates exec time.  The period
-#: exceeds the hold time so bursts never merge into one oversized
+#: ``BURST_PERIOD_S``.  The burst is smaller than ``MAX_BATCH``, so it
+#: leaves as one batch on the free-slot trigger, and the period far
+#: exceeds a batch's execution so bursts never merge into one oversized
 #: batch with smeared waits.
 BURST = 4
 BURST_PERIOD_S = 0.15

@@ -4,7 +4,7 @@ The paper's deployment splits sensing from serving: a radar host
 segments gestures and a back end classifies them.  PR 1–2 built the
 in-process serving layer; this example pushes it across the host
 boundary with :class:`~repro.serving.GatewayServer` — the same engine
-and deadline-aware scheduler, fronted by an asyncio socket server with
+and adaptive batch scheduler, fronted by an asyncio socket server with
 per-tenant SLO classes:
 
 1. fit (or load) a model, mint a throwaway self-signed certificate,

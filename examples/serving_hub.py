@@ -6,10 +6,10 @@ This example shows the serving layer that scales that picture out: a
 run fits and checkpoints it; later runs load in milliseconds), and a
 :class:`~repro.serving.StreamHub` multiplexes eight simulated
 single-person device streams over a shared micro-batched
-:class:`~repro.serving.InferenceEngine` governed by a deadline-aware
-:class:`~repro.serving.BatchScheduler`: spans accumulate across frame
-rounds into larger batches, but never longer than the latency SLO
-allows.  Mid-run the checkpoint is overwritten on disk and picked up by
+:class:`~repro.serving.InferenceEngine` with an adaptive
+:class:`~repro.serving.BatchScheduler`: spans closing on the same frame
+round ride one batch, dispatched as soon as the backend is free, with
+the batch size capped to fit the latency SLO.  Mid-run the checkpoint is overwritten on disk and picked up by
 ``registry.load(..., on_change=engine.swap_system)`` — a registry-backed
 hot reload that drops no pending span and tags results with the model
 version that produced them.  (Multi-person scenes plug into the same hub
@@ -122,7 +122,7 @@ def main() -> None:
     # burst), which the scheduler cannot control; see bench_slo.py for
     # the SLO-adherence measurement on classifier-ready samples.
     print(f"scheduler: SLO {SLO_MS:.0f} ms, batch limit {scheduler.batch_limit}, "
-          f"{scheduler.stats.deadline_flushes} deadline / "
+          f"{scheduler.stats.slot_flushes} slot-free / "
           f"{scheduler.stats.depth_flushes} depth flushes, "
           f"queue p95 {p95_text} (incl. span-prep stalls)")
     for stream_event in events:

@@ -382,9 +382,7 @@ def _cmd_serve_gateway(args: argparse.Namespace) -> int:
         quota = QuotaLedger(tenants.quota_policy, state_path=args.quota_state)
     system = _apply_serve_precision(args, REGISTRY.load(args.model_dir))
     slo_ms = args.slo_ms if args.slo_ms is not None else 50.0
-    scheduler = BatchScheduler(
-        slo_ms=slo_ms, max_batch=args.max_batch, adapt_margin=True
-    )
+    scheduler = BatchScheduler(slo_ms=slo_ms, max_batch=args.max_batch)
     backend = _build_backend(args)
     metrics_server, tracer, trace_log = _build_observability(args)
     tenant_registry = None
@@ -635,8 +633,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     num_rounds = max(len(frames) for frames in streams.values())
 
     # --adaptive-batch without an explicit target gets the default 50 ms
-    # SLO: adaptation and deadline flushes are meaningless without a
-    # budget, and a budget-less scheduler would defer events unboundedly.
+    # SLO: the adaptive batch limit is sized to a latency budget.
     # --hedge-ms auto pulls in the same default: its threshold is fitted
     # from the scheduler's latency model, so hedging needs one attached.
     slo_ms = args.slo_ms
@@ -708,6 +705,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         summary["batch_limit"] = snap["batch_limit"]
         summary["deadline_flushes"] = snap["deadline_flushes"]
         summary["depth_flushes"] = snap["depth_flushes"]
+        summary["slot_flushes"] = snap["slot_flushes"]
         p95 = snap["queue_p95_ms"]
         summary["queue_p95_ms"] = round(p95, 3) if p95 is not None else None
     print(json.dumps(summary, indent=2))
@@ -836,8 +834,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "the allowed CPUs (os.sched_setaffinity; no-op "
                             "where unsupported)")
     serve.add_argument("--slo-ms", type=float, default=None,
-                       help="p95 span-close -> event-delivery latency target; "
-                            "enables the deadline-aware scheduler")
+                       help="span-close -> event-delivery latency budget; "
+                            "enables the adaptive batch scheduler")
     serve.add_argument("--adaptive-batch", action="store_true",
                        help="adapt the batch limit online from observed "
                             "per-batch latency (EWMA) under the --slo-ms "

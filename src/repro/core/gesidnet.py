@@ -18,6 +18,8 @@ Architecture (Fig. 5 of the paper):
 
 from __future__ import annotations
 
+import copy
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -283,3 +285,55 @@ class GesIDNet(Module):
         if not hasattr(self, "_features"):
             raise RuntimeError("run a forward pass first")
         return dict(self._features)
+
+
+class _Route(Module):
+    """One sub-module per model, each applied to its own contiguous rows."""
+
+    def __init__(self, modules: Sequence[Module], bounds: Sequence[tuple[int, int]]) -> None:
+        super().__init__()
+        # A tuple of pairs, so ``parameters()`` does not descend into it.
+        self.parts = tuple(zip(modules, bounds))
+
+    def forward(self, *inputs: np.ndarray) -> np.ndarray:
+        pieces = [
+            module(*(x[start:stop] for x in inputs))
+            for module, (start, stop) in self.parts
+        ]
+        return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+
+
+def routed_network(
+    models: Sequence[GesIDNet], bounds: Sequence[tuple[int, int]]
+) -> GesIDNet:
+    """A network that runs rows ``bounds[i]`` through ``models[i]``'s weights.
+
+    The models must share one architecture (config and class count).
+    The result is a shallow copy of ``models[0]`` whose weighted
+    sub-modules are replaced by routers, so the weight-free work —
+    farthest-point sampling, ball queries, grouping, pooling — runs once
+    for the whole batch, and each weighted module runs once per model on
+    that model's rows.  Every computation is row-independent, so each
+    row gets bitwise the result of its own model's forward.  Eval only:
+    the routers have no backward.
+    """
+    lead = models[0]
+
+    def route(pick) -> _Route:
+        return _Route([pick(model) for model in models], bounds)
+
+    net = copy.copy(lead)
+    for name in ("sa1", "sa2"):
+        block = copy.copy(getattr(lead, name))
+        block.mlps = [
+            route(lambda model, name=name, i=i: getattr(model, name).mlps[i])
+            for i in range(len(block.mlps))
+        ]
+        setattr(net, name, block)
+    for name in ("global1", "global2"):
+        block = copy.copy(getattr(lead, name))
+        block.mlp = route(lambda model, name=name: getattr(model, name).mlp)
+        setattr(net, name, block)
+    for name in ("resize_2to1", "resize_1to2", "fusion1", "fusion2", "head1", "head2"):
+        setattr(net, name, route(lambda model, name=name: getattr(model, name)))
+    return net

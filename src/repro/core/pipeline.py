@@ -20,7 +20,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.gesidnet import GesIDNet, GesIDNetConfig
-from repro.core.trainer import TrainConfig, TrainReport, predict_proba, train_classifier
+from repro.core.trainer import (
+    TrainConfig,
+    TrainReport,
+    predict_proba,
+    predict_proba_routed,
+    train_classifier,
+)
 from repro.metrics.classification import accuracy, macro_f1, one_vs_rest_auc
 from repro.metrics.eer import equal_error_rate, verification_trials
 
@@ -231,15 +237,17 @@ class GesturePrint:
 
         user_probs = np.full((inputs.shape[0], max(self.num_users, 1)), np.nan)
         if self.config.mode is IdentificationMode.SERIALIZED:
-            for gesture in np.unique(gesture_pred):
-                model = self.user_models.get(int(gesture))
-                if model is None:
-                    # No per-gesture model (degenerate training set): uniform.
-                    mask = gesture_pred == gesture
-                    user_probs[mask] = 1.0 / max(self.num_users, 1)
-                    continue
-                mask = gesture_pred == gesture
-                user_probs[mask] = predict_proba(model, inputs[mask])
+            # Every sample's user model, run as one routed pass.
+            gestures = [int(g) for g in np.unique(gesture_pred) if int(g) in self.user_models]
+            modelled = np.isin(gesture_pred, gestures)
+            # No per-gesture model (degenerate training set): uniform.
+            user_probs[~modelled] = 1.0 / max(self.num_users, 1)
+            if gestures:
+                user_probs[modelled] = predict_proba_routed(
+                    [self.user_models[g] for g in gestures],
+                    inputs[modelled],
+                    np.searchsorted(gestures, gesture_pred[modelled]),
+                )
         else:
             user_probs = predict_proba(self.parallel_user_model, inputs)
         user_pred = user_probs.argmax(axis=1)

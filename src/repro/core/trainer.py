@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.gesidnet import GesIDNet
+from repro.core.gesidnet import GesIDNet, routed_network
 from repro.nn.losses import CrossEntropyLoss, softmax_probabilities
 from repro.nn.module import as_compute
 from repro.nn.optim import Adam, StepLR
@@ -126,6 +126,42 @@ def predict_proba(model: GesIDNet, inputs: np.ndarray, *, batch_size: int = 64) 
         primary, _ = model(inputs[start : start + batch_size])
         chunks.append(softmax_probabilities(primary))
     return np.vstack(chunks)
+
+
+def predict_proba_routed(
+    models: list[GesIDNet],
+    inputs: np.ndarray,
+    route: np.ndarray,
+    *,
+    batch_size: int = 64,
+) -> np.ndarray:
+    """Class probabilities when row ``i`` belongs to ``models[route[i]]``.
+
+    The serialized mode picks each sample's user model by its recognised
+    gesture.  One :func:`predict_proba` call per model pays a whole
+    forward's fixed cost for every distinct gesture in a batch; this
+    sorts the rows by model and runs each chunk as one pass through
+    :func:`~repro.core.gesidnet.routed_network`.  The models must share
+    one architecture.  Each row's probabilities are bitwise those of
+    ``predict_proba(models[route[i]], ...)``.
+    """
+    inputs = as_compute(inputs)
+    route = np.asarray(route, dtype=np.int64)
+    for model in models:
+        model.eval()
+    order = np.argsort(route, kind="stable")
+    probs = np.empty((route.size, models[0].num_classes))
+    for start in range(0, route.size, batch_size):
+        rows = order[start : start + batch_size]
+        ids, firsts = np.unique(route[rows], return_index=True)
+        bounds = list(zip(firsts, [*firsts[1:], rows.size]))
+        if ids.size == 1:
+            net = models[ids[0]]
+        else:
+            net = routed_network([models[i] for i in ids], bounds)
+        primary, _ = net(inputs[rows])
+        probs[rows] = softmax_probabilities(primary)
+    return probs
 
 
 def kfold_indices(

@@ -42,7 +42,7 @@ class Conv1x1(Module):
         self._input = x
         out = np.matmul(self.weight.data, x)  # (o,c) @ (b,c,n) -> (b,o,n)
         if self.bias is not None:
-            out = out + self.bias.data[None, :, None]
+            out += self.bias.data[None, :, None]
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:

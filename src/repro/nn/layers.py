@@ -84,17 +84,18 @@ class ReLU(Module):
 
     def __init__(self) -> None:
         super().__init__()
-        self._mask: np.ndarray | None = None
+        self._output: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = as_compute(x)
-        self._mask = x > 0
-        return x * self._mask
+        # One pass; the backward mask is read off the output (output > 0
+        # exactly where x > 0).
+        self._output = np.maximum(as_compute(x), 0.0)
+        return self._output
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._mask is None:
+        if self._output is None:
             raise RuntimeError("backward called before forward")
-        return grad_output * self._mask
+        return grad_output * (self._output > 0)
 
 
 class LeakyReLU(Module):
@@ -204,7 +205,9 @@ class BatchNorm(Module):
         scale = self.gamma.data * inv_std
         shift = self.beta.data - self.running_mean * scale
         self._cache = (None, inv_std, x, axes)
-        return x * self._reshape_stats(scale, x.ndim) + self._reshape_stats(shift, x.ndim)
+        out = x * self._reshape_stats(scale, x.ndim)
+        out += self._reshape_stats(shift, x.ndim)
+        return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:

@@ -5,14 +5,15 @@ Four pieces, layered under the runtimes in :mod:`repro.core`:
 * :class:`InferenceEngine` — accepts classification requests (normalised
   gesture clouds, each timestamped and optionally deadlined),
   micro-batches them, and runs one vectorised ``GesturePrint.predict``
-  per flush; byte-identical to the per-event path, with a synchronous
-  ``predict_one`` for latency-critical callers, and hot model reload via
-  ``swap_system`` (version-tagged results, no dropped tickets).
-* :class:`BatchScheduler` — deadline-aware batching policy: flushes by
-  trading queue depth against the oldest request's remaining SLO budget
-  and adapts the batch limit online from observed per-batch latency
-  (submit-to-landing on the engine's backend, executor queueing
-  included).
+  per flush — dispatching whenever a backend slot is free, never
+  holding a batch for company; byte-identical to the per-event path,
+  with a synchronous ``predict_one`` for latency-critical callers, and
+  hot model reload via ``swap_system`` (version-tagged results, no
+  dropped tickets).
+* :class:`BatchScheduler` — adaptive batch-size policy: adapts the
+  batch limit online from observed per-batch latency (submit-to-landing
+  on the engine's backend, executor queueing included) and counts why
+  each batch was released.
 * :mod:`repro.serving.backends` — pluggable execution: inline (default),
   thread pool over per-thread replicas, or a process pool whose workers
   attach read-only mmap'd weight arenas (``--backend``/``--workers`` on

@@ -25,15 +25,15 @@ event loop) overlaps its own work with the executor's.
 
 Batches are released by one of three triggers:
 
+* **slot free** — :meth:`poll` dispatches whatever is pending as soon as
+  a backend slot is free.  Dispatch is work-conserving: nothing is held
+  back for company, and a batch forms only from what queued while every
+  slot was busy (or from a round submitted before the poll).  Deadlines
+  order the queue; they never delay it;
 * **depth** — the queue reached the effective batch limit (a fixed
   ``max_batch_size``, or the adaptive limit of an attached
-  :class:`~repro.serving.scheduler.BatchScheduler`);
-* **deadline** — with a scheduler, every request carries an arrival
-  timestamp and an optional per-request deadline; :meth:`submit` and
-  :meth:`poll` flush as soon as waiting any longer would be predicted to
-  miss the earliest pending deadline (a deadline already in the past is
-  clamped to "due now": it forces an immediate dispatch instead of
-  feeding negative slack into the scheduler);
+  :class:`~repro.serving.scheduler.BatchScheduler`); the only trigger
+  :meth:`submit` fires on its own;
 * **explicit** — :meth:`flush` (the hub's end-of-round / end-of-stream
   paths), which also blocks until every airborne batch has landed.
 
@@ -363,10 +363,10 @@ class InferenceEngine:
     scheduler:
         Optional :class:`~repro.serving.scheduler.BatchScheduler`.  When
         attached, the effective batch limit is the *minimum* of
-        ``max_batch_size`` and the scheduler's adaptive limit, and
-        ``submit``/``poll`` also flush when the earliest pending deadline
-        is about to run out of budget.  The engine adopts the scheduler's
-        clock so arrival timestamps and deadlines share one time base.
+        ``max_batch_size`` and the scheduler's adaptive limit, and the
+        scheduler counts why each batch was released.  The engine adopts
+        the scheduler's clock so arrival timestamps and deadlines share
+        one time base.
     backend:
         Optional :class:`~repro.serving.backends.ExecutionBackend`; the
         default :class:`~repro.serving.backends.InlineBackend` executes
@@ -550,36 +550,29 @@ class InferenceEngine:
         ``arrival`` backdates the request (engine clock; e.g. to the
         instant the gesture segment closed upstream) — it defaults to
         now.  ``deadline_ms`` is this request's own latency budget,
-        measured from arrival; without one, a scheduler's global SLO (if
-        any) applies.  A deadline that is *already in the past* (a
-        backdated arrival plus a short budget) is clamped to "due now":
-        the request rides the immediate-flush path, and the scheduler
-        never sees negative slack — which would force a batch-of-1 flush
-        on every subsequent submit and poison the adaptive limit's
-        latency observations with panic batches.  ``priority`` (lower =
-        more important) orders the flush drain across requests; equal
-        priorities keep submission order, so plain callers are unaffected
-        by the default.
+        measured from arrival.  Deadlines only order the drain (see
+        :func:`~repro.serving.scheduler.request_order`).  ``priority``
+        (lower = more important) orders the drain across requests; equal
+        priorities keep submission order, so plain callers are
+        unaffected by the default.
 
-        ``defer_flush`` skips the auto-flush check: the caller promises
-        an imminent :meth:`poll`.  A feeder draining a backlog needs it —
-        once queued requests have *already overrun* their deadlines, the
-        auto-flush would otherwise fire on the first submit of every
-        refill and degrade the engine to batch-1 exactly when load is
-        highest.  Deferring lets the whole refill ride one batch.
+        The request is dispatched by the next :meth:`poll` that finds a
+        free backend slot, so a round of submits followed by one poll
+        rides one batch.  ``submit`` itself only auto-flushes on the
+        depth trigger, and that flush blocks until the batch lands.
+        ``defer_flush`` skips it: the caller promises an imminent
+        :meth:`poll`, which dispatches without blocking (a feeder on an
+        event loop must never wait out a pooled backend inside submit).
 
-        Auto-flushes on the depth and deadline triggers described in the
-        module docstring.  Auto-flush failures are routed to the failed
-        tickets (``result()`` / ``on_error``) instead of being raised
-        here, so one stream's poison sample cannot blow up another
-        stream's ``submit``.
+        Auto-flush failures are routed to the failed tickets
+        (``result()`` / ``on_error``) instead of being raised here, so
+        one stream's poison sample cannot blow up another stream's
+        ``submit``.
         """
         sample = self._validate(sample)
         now = self._clock()
         arrival = now if arrival is None else arrival
         deadline = None if deadline_ms is None else arrival + deadline_ms / 1e3
-        if deadline is not None and deadline < now:
-            deadline = now  # stale already at submit: due immediately
         if trace is None and self._tracer is not None:
             trace = self._tracer.begin(submit=arrival)
         ticket = Ticket(
@@ -594,43 +587,28 @@ class InferenceEngine:
         self._pending.append((sample, ticket))
         self.stats.requests += 1
         self._m.requests_async.inc()
-        if not defer_flush and self._should_flush(now):
+        if not defer_flush and self._depth_reached():
             self.flush(raise_on_error=False)
         return ticket
 
     # ------------------------------------------------------------------
-    def _earliest_slack(self, now: float) -> float | None:
-        """Remaining budget (s) of the most urgent pending request."""
-        slo_s = self.scheduler.slo_s if self.scheduler is not None else None
-        earliest: float | None = None
-        for _, ticket in self._pending:
-            deadline = ticket.deadline
-            if deadline is None and slo_s is not None:
-                deadline = ticket.arrival + slo_s
-            if deadline is not None and (earliest is None or deadline < earliest):
-                earliest = deadline
-        return None if earliest is None else earliest - now
-
-    def _should_flush(self, now: float) -> bool:
+    def _depth_reached(self) -> bool:
+        """Depth trigger: the pending queue filled the batch limit."""
         depth = len(self._pending)
-        if depth == 0:
-            return False
         if depth >= self.max_batch_size:  # hard cap, scheduler or not
             return True
-        if self.scheduler is not None:
-            return self.scheduler.should_flush(depth, slack_s=self._earliest_slack(now))
-        # No scheduler: still honour explicit per-request deadlines.
-        slack = self._earliest_slack(now)
-        return slack is not None and slack <= 0.0
+        return self.scheduler is not None and self.scheduler.should_flush(depth)
 
     def poll(self) -> list[Ticket]:
-        """Collect landed batches; dispatch if the queue must run *now*.
+        """Collect landed batches; dispatch the queue if a slot is free.
 
         The serving loop calls this once per frame round (the gateway
         once per pump): completed airborne batches deliver their
-        tickets, and the depth/deadline triggers release a new dispatch
-        — without ever blocking on the backend.  Errors are routed to
-        the failed tickets, never raised here.
+        tickets, then whatever is pending is dispatched at once if a
+        backend slot is free (or the depth trigger fired) — without
+        ever blocking on the backend.  While every slot is busy the
+        batch keeps forming.  Errors are routed to the failed tickets,
+        never raised here.
         """
         if self._in_flush:
             return []
@@ -641,7 +619,10 @@ class InferenceEngine:
                 _, landed = self._collect(block=False)
                 delivered.extend(landed)
                 self._maybe_hedge(self._clock())
-            if self._should_flush(self._clock()):
+            full = self._depth_reached()
+            if full or (self._pending and self.num_airborne < self.backend.slots):
+                if not full and self.scheduler is not None:
+                    self.scheduler.record_slot_flush()
                 self.dispatch()
                 _, landed = self._collect(block=False)
                 delivered.extend(landed)

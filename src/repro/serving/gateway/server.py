@@ -17,11 +17,11 @@ goes wherever the engine's backend puts it:
   admissions, on airborne-batch completions (the engine's
   ``on_batch_complete`` hook kicks the loop threadsafely from whatever
   thread the backend lands a batch in), or on a short poll tick for
-  deadline checks; it feeds queued requests into the engine in weighted
+  hedge checks; it feeds queued requests into the engine in weighted
   priority order up to the scheduler's adaptive batch limit — stopping
   while every backend slot is busy, so overload keeps pooling (and
   shedding) in the admission queue — and lets ``engine.poll`` dispatch
-  on the depth/deadline triggers and collect whatever has landed;
+  at once onto the free slot and collect whatever has landed;
 * with a thread or process backend, a dispatched batch is **airborne**
   while the loop goes straight back to reading sockets: exec overlaps
   socket IO instead of stalling it, which is where the multi-worker
@@ -280,9 +280,9 @@ class GatewayServer:
         an ``engine`` is passed).
     engine / scheduler / backend:
         Share an existing engine, or configure the private one.  The
-        default scheduler targets ``slo_ms`` with the adaptive batch
-        limit *and* the p95 safety-margin controller enabled — a network
-        front-end lives or dies by its tail latency.  ``backend`` picks
+        default scheduler sizes its adaptive batch limit to ``slo_ms``;
+        batches are dispatched the moment a backend slot is free, never
+        held for company.  ``backend`` picks
         where batches execute (``repro.serving.backends``; default
         inline): with a thread or process pool the flush loop overlaps
         batch execution with socket IO and runs up to ``backend.slots``
@@ -304,14 +304,9 @@ class GatewayServer:
     queue_limit:
         Admission-room bound; beyond it the shedding policy engages.
     poll_interval_s:
-        Flush-loop tick when idle: the precision of deadline-forced
-        flushes (and a floor on added latency under sparse traffic).
-    max_linger_ms:
-        Deadline given to requests whose tenant class has no SLO (and
-        who sent none of their own).  Without one, a burst ending on a
-        partial batch of deadline-less ``batch``-class requests would
-        wait forever for company; with it, stragglers flush within a
-        bounded linger.
+        Flush-loop tick while no admission or completion wakes it: the
+        precision of hedge placement for a straggling airborne batch.
+        New work never waits for the tick — an admission kicks the loop.
     max_outbox_frames:
         Per-connection cap on result frames queued for a client that is
         not reading them; at the cap the connection is dropped and its
@@ -377,7 +372,6 @@ class GatewayServer:
         slo_ms: float | None = 50.0,
         queue_limit: int = 256,
         poll_interval_s: float = 0.005,
-        max_linger_ms: float = 100.0,
         max_outbox_frames: int = 1024,
         handshake_timeout_s: float = 10.0,
         reload_hook: Callable[[], int] | None = None,
@@ -404,9 +398,7 @@ class GatewayServer:
             if system is None:
                 raise ValueError("pass a fitted system or an engine")
             if scheduler is None and slo_ms is not None:
-                scheduler = BatchScheduler(
-                    slo_ms=slo_ms, max_batch=max_batch_size, adapt_margin=True
-                )
+                scheduler = BatchScheduler(slo_ms=slo_ms, max_batch=max_batch_size)
             engine = InferenceEngine(
                 system,
                 max_batch_size=max_batch_size,
@@ -429,7 +421,6 @@ class GatewayServer:
             clock=self.engine.clock,
         )
         self.poll_interval_s = poll_interval_s
-        self.max_linger_ms = max_linger_ms
         self.max_outbox_frames = max_outbox_frames
         self.handshake_timeout_s = handshake_timeout_s
         self.reload_hook = reload_hook
@@ -788,8 +779,6 @@ class GatewayServer:
             return
         if deadline_ms is None:
             deadline_ms = tenant.slo_class.slo_ms
-        if deadline_ms is None:
-            deadline_ms = self.max_linger_ms
         request = GatewayRequest(
             connection=connection,
             tenant=tenant,

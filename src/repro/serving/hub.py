@@ -12,9 +12,8 @@ over one :class:`~repro.serving.engine.InferenceEngine`:
   stream by stream;
 * gesture spans closed by any stream are *deferred* into the shared
   engine instead of classified inline; :meth:`push_round` flushes (or,
-  with a latency SLO, lets the deadline-aware scheduler decide) once per
-  frame round, so spans that close together across streams ride one
-  vectorised forward pass;
+  with a scheduler, polls) once per frame round, so spans that close
+  together across streams ride one vectorised forward pass;
 * a span whose batch fails is never lost silently: the failure is
   recorded as a :class:`StreamError` (see :meth:`pop_errors`) while the
   other streams' events still deliver — one poison sample cannot strand
@@ -124,12 +123,14 @@ class StreamHub:
     scheduler:
         Optional :class:`~repro.serving.scheduler.BatchScheduler` for the
         private engine.  With one attached, :meth:`push_round` *polls*
-        instead of force-flushing: batches accumulate across rounds until
-        the adaptive depth limit or a deadline releases them.
+        instead of force-flushing: the round's spans are dispatched at
+        once if a backend slot is free, and otherwise keep forming a
+        batch (with the next rounds' spans) until a slot frees up.
     slo_ms:
         Per-span latency budget (span close -> event delivery).  Implies
-        a default scheduler when none is given.  Also tagged onto every
-        submitted span as its request deadline.
+        a default scheduler when none is given, sizing its adaptive batch
+        limit.  Also tagged onto every submitted span as its request
+        deadline, which orders the engine's queue.
     base_seed:
         Root of the per-stream RNG derivation.
     """
@@ -255,10 +256,10 @@ class StreamHub:
         This is the serving loop's steady state.  Without a scheduler,
         everything pending is flushed — all spans that closed on this
         round, across every stream, ride one vectorised forward pass.
-        With a scheduler, the engine is *polled* instead: spans may
-        accumulate across rounds until the adaptive depth limit or the
-        oldest span's deadline releases them (deliveries then happen on a
-        later round, still within the SLO).
+        With a scheduler, the engine is *polled* instead: the round's
+        spans still ride one batch, dispatched at once onto a free
+        backend slot without blocking; while every slot is busy they
+        keep accumulating and deliver on a later round.
 
         All stream ids are validated **before** any frame is pushed, so a
         typo'd id cannot leave the round half-applied with the other

@@ -19,7 +19,10 @@ dashboard-shaped home:
 * **collectors** are zero-arg callables run at scrape time for state
   that is naturally a snapshot (queue depths, worker health, arena
   counts) rather than an event stream; they read component snapshots
-  *outside* every metrics lock and write plain gauges.
+  *outside* every metrics lock and write plain gauges.  A bound-method
+  collector is held weakly, so registering one never keeps its
+  component alive: a component dropped without unregistering falls out
+  of the scrape path at the next scrape.
 
 A disabled registry (``MetricsRegistry(enabled=False)``) hands out
 shared null instruments whose methods are no-ops — the
@@ -33,7 +36,9 @@ state and its :meth:`MetricsRegistry.collect` snapshot.
 
 from __future__ import annotations
 
+import inspect
 import threading
+import weakref
 from typing import Callable, Iterable, Mapping
 
 __all__ = [
@@ -362,7 +367,9 @@ class MetricsRegistry:
         self.enabled = enabled
         self._lock = threading.Lock()
         self._families: dict[str, _Family] = {}
-        self._collectors: list[Callable[[], None]] = []
+        #: Collector references: a dereference returns the collector,
+        #: or None once a weakly held bound method's owner is gone.
+        self._collectors: list[Callable[[], Callable[[], None] | None]] = []
         #: Collector callbacks that raised during a scrape (each one is
         #: skipped, not fatal); exported so a half-dead component shows
         #: up in the scrape that survived it.
@@ -409,19 +416,40 @@ class MetricsRegistry:
 
     # -- collectors ----------------------------------------------------
     def register_collector(self, collector: Callable[[], None]) -> None:
-        """Run ``collector()`` before every scrape (gauge refreshers)."""
+        """Run ``collector()`` before every scrape (gauge refreshers).
+
+        Bound methods are held through :class:`weakref.WeakMethod`, so
+        the registry never keeps their owner alive; any other callable
+        (a closure, a plain function) is held strongly.
+        """
         if not self.enabled:
             return
+        ref: Callable[[], Callable[[], None] | None] = (
+            weakref.WeakMethod(collector)
+            if inspect.ismethod(collector)
+            else lambda: collector
+        )
         with self._lock:
-            if collector not in self._collectors:
-                self._collectors.append(collector)
+            if all(held() != collector for held in self._collectors):
+                self._collectors.append(ref)
 
     def unregister_collector(self, collector: Callable[[], None]) -> None:
+        """Stop running ``collector`` at scrape time (no-op if unknown)."""
         with self._lock:
-            try:
-                self._collectors.remove(collector)
-            except ValueError:
-                pass
+            self._collectors = [
+                held for held in self._collectors if held() not in (None, collector)
+            ]
+
+    @property
+    def num_collectors(self) -> int:
+        """Collectors still registered (dead weak ones pruned first)."""
+        with self._lock:
+            self._prune_locked()
+            return len(self._collectors)
+
+    def _prune_locked(self) -> None:
+        """Drop weakly held collectors whose owner was garbage-collected."""
+        self._collectors = [held for held in self._collectors if held() is not None]
 
     # -- scraping ------------------------------------------------------
     def collect(self) -> list[_Family]:
@@ -432,8 +460,11 @@ class MetricsRegistry:
         ours across that call-out would stack lock orders for no reason.
         """
         with self._lock:
-            collectors = list(self._collectors)
+            self._prune_locked()
+            collectors = [held() for held in self._collectors]
         for collector in collectors:
+            if collector is None:  # owner collected since the prune
+                continue
             try:
                 collector()
             except Exception:

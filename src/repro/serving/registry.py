@@ -30,7 +30,6 @@ import pathlib
 import shutil
 import tempfile
 import threading
-import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
@@ -154,20 +153,10 @@ class ModelRegistry:
         #: process pool retains/releases from its supervisor thread
         #: while the engine thread exports through ``arena_for``).
         self._arena_lock = threading.RLock()
-        # A registry has no close(); register through a weakref so a
-        # garbage-collected instance drops out of the scrape path
-        # instead of being kept alive by the metrics registry forever.
-        ref = weakref.ref(self)
-        metrics_registry = self._metrics
-
-        def _collector() -> None:
-            registry = ref()
-            if registry is None:
-                metrics_registry.unregister_collector(_collector)
-                return
-            registry._collect_metrics()
-
-        metrics_registry.register_collector(_collector)
+        # A registry has no close(): the metrics registry holds this
+        # bound-method collector weakly, so a garbage-collected instance
+        # drops out of the scrape path on its own.
+        self._metrics.register_collector(self._collect_metrics)
 
     def _collect_metrics(self) -> None:
         """Scrape-time gauge refresh (runs outside the metrics lock)."""

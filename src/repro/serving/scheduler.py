@@ -1,34 +1,26 @@
-"""Deadline-aware adaptive batching policy for the inference engine.
+"""Adaptive batch-size policy for the work-conserving inference engine.
 
 The deployed pipeline classifies a gesture the moment its segment closes,
 so serving *latency* — not just throughput — is the product constraint.
-PR 1's engine flushed only on ``max_batch_size`` or an explicit call: a
-lone queued span could wait unboundedly for company.
+The engine therefore never holds a batch for company: it dispatches
+whatever is pending as soon as a backend slot is free (the rule of
+Triton's dynamic batcher with ``max_queue_delay`` 0, and of Clockwork),
+and a batch forms only from what queued while every slot was busy.
+Deadlines order the queue (:func:`request_order`); they never delay it.
 
-:class:`BatchScheduler` closes that gap.  It owns two decisions:
-
-* **when to flush** — trade queue depth against the oldest pending
-  request's remaining SLO budget: flush as soon as running the batch
-  *now* is predicted to just meet the earliest deadline, and otherwise
-  keep accumulating so spans closing near each other still ride one
-  vectorised forward pass;
-* **how large a batch to allow** — adapt the effective batch limit
-  online from observed per-batch latency (an exponentially-weighted
-  linear model ``latency ≈ overhead + per_sample · batch``), so the
-  engine runs the largest batch whose predicted execution time still
-  fits inside the latency budget.
-
-A third, optional decision closes the loop end to end: the **p95
-safety-margin controller** (``adapt_margin=True``) watches the sliding
-window of delivered queue latencies and widens the scheduling margin
-when the observed p95 breaches the SLO (flushing earlier buys latency
-back) or narrows it when the p95 sits well under target (bigger batches
-buy throughput back).
+:class:`BatchScheduler` owns the one decision left — **how large a
+batch to allow**: it adapts the effective batch limit online from
+observed per-batch latency (an exponentially-weighted linear model
+``latency ≈ overhead + per_sample · batch``), so the engine runs the
+largest batch whose predicted execution time still fits inside the
+latency budget.  The same model floors the engine's hedge threshold
+(:meth:`BatchScheduler.hedge_threshold_s`).
 
 The scheduler is a pure policy object: it never touches the queue and
-has no threads.  The engine consults :meth:`should_flush` on every
-``submit``/``poll`` and reports measurements back through
-:meth:`observe_batch` / :meth:`record_queue_latency`.
+has no threads.  The engine consults :meth:`should_flush` for the depth
+trigger, reports slot-free dispatches through :meth:`record_slot_flush`,
+and feeds measurements back through :meth:`observe_batch` /
+:meth:`record_queue_latency`.
 
 Backend honesty: with a pooled execution backend
 (:mod:`repro.serving.backends`), a batch's latency is no longer just its
@@ -37,8 +29,7 @@ and crosses a thread or process boundary.  The engine therefore feeds
 :meth:`observe_batch` the **submit-to-landing wall time** of the backend
 it actually runs on (plus the worker-measured pure execution time via
 ``service_s``), so the EWMA model amortises the *whole* pipeline: the
-adaptive limit prices executor queueing into its budget, the p95 margin
-controller reacts to tail latency the clients really see, and swapping
+adaptive limit prices executor queueing into its budget, and swapping
 backends re-learns the new cost profile within a few batches.
 :meth:`bind_backend` records which backend the observations describe.
 """
@@ -72,8 +63,11 @@ def request_order(
 class SchedulerStats:
     """Why batches were released, plus the adaptation state."""
 
+    #: Batches released because the queue reached the batch limit.
     depth_flushes: int = 0
-    deadline_flushes: int = 0
+    #: Batches released because a backend slot was free (work-conserving
+    #: dispatch of a batch still below the limit).
+    slot_flushes: int = 0
     observed_batches: int = 0
     #: Batches excluded from the latency model because a worker crash
     #: forced a redispatch (their wall time prices the crash recovery,
@@ -87,9 +81,6 @@ class SchedulerStats:
     #: (rides of retried or hedged batches — see
     #: ``record_queue_latency(excluded=...)``).
     excluded_latency_samples: int = 0
-    #: Safety-margin controller activity (see ``adapt_margin``).
-    margin_widened: int = 0
-    margin_narrowed: int = 0
     #: Delivered queue latencies (seconds), most recent last.
     queue_window: Deque[float] = field(default_factory=deque, repr=False)
     #: Submit-to-landing wall times (seconds) of recent non-excluded
@@ -106,10 +97,9 @@ class BatchScheduler:
     Parameters
     ----------
     slo_ms:
-        Target p95 queue latency (submit -> delivery) in milliseconds.
-        ``None`` disables deadline-forced flushes: the policy degrades to
-        a pure depth threshold (PR 1 behaviour) while still tracking
-        latency statistics.
+        Latency budget (submit -> delivery) in milliseconds that sizes
+        the adaptive batch limit.  ``None`` pins the limit at
+        ``max_batch`` while still tracking latency statistics.
     min_batch / max_batch:
         Clamp for the adaptive batch limit.
     ewma_alpha:
@@ -118,28 +108,6 @@ class BatchScheduler:
         Fraction of the SLO budget the *execution* of a full batch may
         consume; the rest is queueing headroom (keeps p95, not the mean,
         under the target).
-    margin_ms:
-        Scheduling slack: flush when the earliest deadline's remaining
-        budget falls within ``predicted batch latency + margin``.  With
-        ``adapt_margin`` this is only the starting point.
-    adapt_margin:
-        Enable the p95 safety-margin controller: every ``adapt_every``
-        delivered requests, compare the sliding-window p95 against the
-        SLO and widen the margin (earlier deadline flushes, lower
-        queueing latency) when the p95 breaches the target, or narrow it
-        (larger batches, higher throughput) when the p95 sits comfortably
-        below ``margin_target`` x SLO.  Multiplicative in both directions
-        and clamped to ``margin_bounds_ms``, so one noisy window cannot
-        slam the margin to an extreme.
-    margin_bounds_ms:
-        ``(lo, hi)`` clamp of the adaptive margin, milliseconds.
-    margin_target:
-        Fraction of the SLO the controller steers the observed p95
-        toward; the dead band between ``margin_target * slo`` and the SLO
-        keeps the controller quiet when latency is already on target.
-    adapt_every:
-        Delivered-request interval between controller decisions (also the
-        minimum window fill before the first one).
     window:
         Number of delivered-latency samples kept for the p95 estimate.
     clock:
@@ -148,8 +116,8 @@ class BatchScheduler:
         :class:`~repro.serving.observability.metrics.MetricsRegistry` to
         instrument against (default: the process-global one).  Flush
         triggers and exclusions are counted inline; the adaptation state
-        (batch limit, margin, learned model, queue p95) is exported as
-        gauges refreshed at scrape time from :meth:`snapshot`.
+        (batch limit, learned model, queue p95) is exported as gauges
+        refreshed at scrape time from :meth:`snapshot`.
     """
 
     def __init__(
@@ -160,11 +128,6 @@ class BatchScheduler:
         max_batch: int = 64,
         ewma_alpha: float = 0.25,
         safety: float = 0.8,
-        margin_ms: float = 2.0,
-        adapt_margin: bool = False,
-        margin_bounds_ms: tuple[float, float] = (0.5, 25.0),
-        margin_target: float = 0.8,
-        adapt_every: int = 32,
         window: int = 512,
         clock: Callable[[], float] = time.monotonic,
         metrics: MetricsRegistry | None = None,
@@ -177,24 +140,11 @@ class BatchScheduler:
             raise ValueError("ewma_alpha must be in (0, 1]")
         if not 0.0 < safety <= 1.0:
             raise ValueError("safety must be in (0, 1]")
-        if not 0.0 <= margin_bounds_ms[0] <= margin_bounds_ms[1]:
-            raise ValueError("need 0 <= margin_bounds_ms[0] <= margin_bounds_ms[1]")
-        if not 0.0 < margin_target <= 1.0:
-            raise ValueError("margin_target must be in (0, 1]")
-        if adapt_every < 1:
-            raise ValueError("adapt_every must be >= 1")
         self.slo_ms = slo_ms
         self.min_batch = min_batch
         self.max_batch = max_batch
         self.ewma_alpha = ewma_alpha
         self.safety = safety
-        self.margin_s = margin_ms / 1e3
-        self._initial_margin_s = self.margin_s
-        self.adapt_margin = adapt_margin
-        self.margin_bounds_s = (margin_bounds_ms[0] / 1e3, margin_bounds_ms[1] / 1e3)
-        self.margin_target = margin_target
-        self.adapt_every = adapt_every
-        self._since_adapt = 0
         self.clock = clock
         self.stats = SchedulerStats()
         self._window = window
@@ -212,9 +162,9 @@ class BatchScheduler:
             "repro_scheduler_depth_flushes_total",
             "Batches released because the queue hit the batch limit",
         )
-        self._m_deadline_flushes = metrics.counter(
-            "repro_scheduler_deadline_flushes_total",
-            "Batches released to protect the earliest pending deadline",
+        self._m_slot_flushes = metrics.counter(
+            "repro_scheduler_slot_flushes_total",
+            "Batches released below the limit because a backend slot was free",
         )
         self._m_observed = metrics.counter(
             "repro_scheduler_observed_batches_total",
@@ -229,7 +179,6 @@ class BatchScheduler:
             key: metrics.gauge(f"repro_scheduler_{key}", help_text)
             for key, help_text in (
                 ("batch_limit", "Adaptive batch limit currently in force"),
-                ("margin_ms", "Scheduling safety margin (ms)"),
                 ("per_sample_ms", "Learned per-sample batch cost (ms)"),
                 ("overhead_ms", "Learned fixed batch overhead (ms)"),
                 ("queue_p95_ms", "Sliding-window p95 of delivered latency (ms)"),
@@ -294,29 +243,22 @@ class BatchScheduler:
         return max(self.min_batch, min(limit, self.max_batch))
 
     # ------------------------------------------------------------------
-    def should_flush(
-        self,
-        depth: int,
-        *,
-        slack_s: float | None = None,
-    ) -> bool:
-        """Release the pending batch now?
+    def should_flush(self, depth: int) -> bool:
+        """Depth trigger: has a queue of ``depth`` reached the batch limit?
 
-        ``depth`` is the queue depth; ``slack_s`` is the earliest pending
-        deadline's remaining budget (seconds), or None when nothing
-        pending carries a deadline and no SLO applies.
+        A ``True`` answer is counted as a depth flush; the caller is
+        expected to dispatch.
         """
-        if depth <= 0:
+        if depth < self.batch_limit:  # the limit is at least 1
             return False
-        if depth >= self.batch_limit:
-            self.stats.depth_flushes += 1
-            self._m_depth_flushes.inc()
-            return True
-        if slack_s is not None and slack_s <= self.predicted_latency_s(depth) + self.margin_s:
-            self.stats.deadline_flushes += 1
-            self._m_deadline_flushes.inc()
-            return True
-        return False
+        self.stats.depth_flushes += 1
+        self._m_depth_flushes.inc()
+        return True
+
+    def record_slot_flush(self) -> None:
+        """Count one below-limit batch dispatched because a slot was free."""
+        self.stats.slot_flushes += 1
+        self._m_slot_flushes.inc()
 
     # ------------------------------------------------------------------
     def bind_backend(self, name: str, slots: int = 1) -> None:
@@ -324,10 +266,9 @@ class BatchScheduler:
 
         Called by the engine at construction.  If the backend actually
         *changes* (a different name than previously bound), the whole
-        learned state is reset — the EWMA latency model, the p95
-        queue-latency window, and an adapted safety margin: costs and
-        tails learned on one backend — e.g. the inline path's zero
-        queueing — would misprice the next.
+        learned state is reset — the EWMA latency model and the p95
+        latency windows: costs and tails learned on one backend — e.g.
+        the inline path's zero queueing — would misprice the next.
         """
         if self.backend_name is not None and self.backend_name != name:
             self._mx = self._my = self._mxx = self._mxy = 0.0
@@ -336,8 +277,6 @@ class BatchScheduler:
             self._wait_fitted = False
             self.stats.queue_window.clear()
             self.stats.wall_window.clear()
-            self._since_adapt = 0
-            self.margin_s = self._initial_margin_s
         self.backend_name = name
         self.backend_slots = max(int(slots), 1)
 
@@ -403,17 +342,10 @@ class BatchScheduler:
     def record_queue_latency(self, latency_s: float, *, excluded: bool = False) -> None:
         """Record one delivered request's submit -> delivery latency.
 
-        With ``adapt_margin`` this is also the controller's sensor: every
-        ``adapt_every`` deliveries the sliding-window p95 is compared
-        against the SLO and the safety margin nudged (see
-        :meth:`_adapt_margin_once`).
-
         ``excluded`` marks samples that rode a retried or hedged batch:
         their latency prices crash recovery or a deliberately delayed
-        hedge race, not the policy the controller is steering — feeding
-        them in would widen the margin on every hedge and ratchet the
-        engine toward panic batch-1 flushes.  Excluded samples are
-        counted but kept out of the sliding window entirely.
+        hedge race, not the serving path the p95 describes.  Excluded
+        samples are counted but kept out of the sliding window entirely.
         """
         if excluded:
             self.stats.excluded_latency_samples += 1
@@ -423,36 +355,6 @@ class BatchScheduler:
         window.append(latency_s)
         while len(window) > self._window:
             window.popleft()
-        if self.adapt_margin and self.slo_s is not None:
-            self._since_adapt += 1
-            if self._since_adapt >= self.adapt_every and len(window) >= self.adapt_every:
-                self._since_adapt = 0
-                self._adapt_margin_once()
-
-    def _adapt_margin_once(self) -> None:
-        """One controller step: widen on a p95 breach, narrow when slack.
-
-        Multiplicative moves (x1.5 up, x0.85 down) with a dead band in
-        between: widening reacts fast because a breach is already
-        user-visible, narrowing creeps so throughput is reclaimed without
-        oscillating straight back into a breach.
-        """
-        p95_ms = self.queue_p95_ms
-        if p95_ms is None:
-            return
-        lo, hi = self.margin_bounds_s
-        if p95_ms > self.slo_ms:
-            # The 0.5 ms seed lets widening escape a zero margin (x1.5
-            # alone would pin it there forever).
-            widened = min(max(self.margin_s, lo, 5e-4) * 1.5, hi)
-            if widened > self.margin_s:
-                self.margin_s = widened
-                self.stats.margin_widened += 1
-        elif p95_ms < self.margin_target * self.slo_ms:
-            narrowed = max(self.margin_s * 0.85, lo)
-            if narrowed < self.margin_s:
-                self.margin_s = narrowed
-                self.stats.margin_narrowed += 1
 
     def hedge_threshold_s(self, batch_size: int) -> float | None:
         """Age (s) past which an airborne batch deserves a hedge copy.
@@ -503,11 +405,11 @@ class BatchScheduler:
             "batch_limit": self.batch_limit,
             "overhead_ms": overhead * 1e3,
             "per_sample_ms": per_sample * 1e3,
-            "margin_ms": self.margin_s * 1e3,
-            "margin_widened": self.stats.margin_widened,
-            "margin_narrowed": self.stats.margin_narrowed,
             "depth_flushes": self.stats.depth_flushes,
-            "deadline_flushes": self.stats.deadline_flushes,
+            "slot_flushes": self.stats.slot_flushes,
+            # Kept for readers of the STATS contract; batches are never
+            # held for a deadline, so nothing is ever deadline-flushed.
+            "deadline_flushes": 0,
             "observed_batches": self.stats.observed_batches,
             "retried_batches": self.stats.retried_batches,
             "hedged_batches": self.stats.hedged_batches,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.gesidnet import AttentionFusion, GesIDNet, GesIDNetConfig
+from repro.core.gesidnet import AttentionFusion, GesIDNet, GesIDNetConfig, routed_network
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.setabstraction import ScaleSpec
 
@@ -142,3 +142,39 @@ class TestGesIDNet:
     def test_config_presets(self):
         assert GesIDNetConfig.small().num_points < GesIDNetConfig.paper().num_points
         assert GesIDNetConfig().aux_weight > 0
+
+
+class TestRoutedNetwork:
+    def _models(self, count=3):
+        x = np.random.default_rng(9).normal(size=(6, 16, 8))
+        models = []
+        for seed in range(count):
+            model = GesIDNet(3, _tiny_config(), rng=np.random.default_rng(seed))
+            model(x)  # non-trivial batch-norm running stats
+            models.append(model.eval())
+        return models
+
+    def test_each_row_range_gets_its_own_models_logits_bitwise(self):
+        models = self._models()
+        x = np.random.default_rng(1).normal(size=(7, 16, 8))
+        bounds = [(0, 3), (3, 4), (4, 7)]
+        primary, auxiliary = routed_network(models, bounds)(x)
+        for model, (start, stop) in zip(models, bounds):
+            own_primary, own_auxiliary = model(x[start:stop])
+            assert primary[start:stop].tobytes() == own_primary.tobytes()
+            assert auxiliary[start:stop].tobytes() == own_auxiliary.tobytes()
+
+    def test_every_weighted_submodule_is_routed(self):
+        # A weighted module left out of the routing would silently run
+        # every row through the first model's weights.
+        assert routed_network(self._models(2), [(0, 1), (1, 2)]).parameters() == []
+
+    def test_models_are_left_untouched(self):
+        models = self._models(2)
+        before = [[p.data.copy() for p in m.parameters()] for m in models]
+        routed_network(models, [(0, 2), (2, 3)])(np.zeros((3, 16, 8)))
+        for model, saved in zip(models, before):
+            params = model.parameters()  # shrinks if a router replaced a module
+            assert len(params) == len(saved)
+            for param, data in zip(params, saved):
+                np.testing.assert_array_equal(param.data, data)

@@ -10,6 +10,7 @@ from repro.core import (
     TrainConfig,
 )
 from repro.core.gesidnet import GesIDNetConfig
+from repro.core.trainer import predict_proba
 from repro.nn.setabstraction import ScaleSpec
 
 
@@ -86,6 +87,28 @@ class TestFitPredict:
         metrics = system.evaluate(x, g, u)
         assert metrics["GRA"] > 0.85
         assert metrics["UIA"] > 0.6
+
+    def test_serialized_user_probs_match_each_gestures_model_bitwise(self):
+        x, g, u = _toy_dataset(num_gestures=3)
+        system = GesturePrint(_config()).fit(x, g, u)
+        result = system.predict(x)
+        assert np.unique(result.gesture_pred).size > 1  # rows really get routed
+        for gesture, model in system.user_models.items():
+            rows = result.gesture_pred == gesture
+            if rows.any():
+                expected = predict_proba(model, x[rows])
+                assert result.user_probs[rows].tobytes() == expected.tobytes()
+
+    def test_gesture_without_user_model_gets_uniform_user_probs(self):
+        x, g, u = _toy_dataset()
+        system = GesturePrint(_config()).fit(x, g, u)
+        result = system.predict(x)
+        del system.user_models[0]
+        pruned = system.predict(x)
+        rows = result.gesture_pred == 0
+        assert rows.any() and (~rows).any()
+        np.testing.assert_array_equal(pruned.user_probs[rows], 0.5)
+        assert pruned.user_probs[~rows].tobytes() == result.user_probs[~rows].tobytes()
 
     def test_predict_before_fit_raises(self):
         with pytest.raises(RuntimeError):

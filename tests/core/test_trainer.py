@@ -8,6 +8,7 @@ from repro.core.trainer import (
     TrainConfig,
     kfold_indices,
     predict_proba,
+    predict_proba_routed,
     train_classifier,
     train_test_split,
 )
@@ -94,6 +95,29 @@ class TestPredictProba:
         np.testing.assert_allclose(
             predict_proba(model, x, batch_size=3), predict_proba(model, x, batch_size=64)
         )
+
+
+class TestPredictProbaRouted:
+    def test_matches_one_call_per_model_bitwise(self):
+        x, y = _separable_data(10)
+        models = [_tiny_model(seed=seed) for seed in range(3)]
+        for model in models:
+            train_classifier(model, x, y, TrainConfig(epochs=1, batch_size=8))
+        route = np.random.default_rng(4).integers(0, 3, size=len(x))
+        # batch_size=3 also splits one model's rows across chunks.
+        for batch_size in (3, 64):
+            probs = predict_proba_routed(models, x, route, batch_size=batch_size)
+            for index, model in enumerate(models):
+                rows = route == index
+                expected = predict_proba(model, x[rows])
+                assert probs[rows].tobytes() == expected.tobytes()
+
+    def test_single_model_route_is_plain_predict_proba(self):
+        x, y = _separable_data(10)
+        model = _tiny_model()
+        train_classifier(model, x, y, TrainConfig(epochs=1, batch_size=8))
+        probs = predict_proba_routed([model], x, np.zeros(len(x), dtype=int))
+        assert probs.tobytes() == predict_proba(model, x).tobytes()
 
 
 class TestSplits:

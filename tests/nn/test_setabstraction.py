@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import MultiScaleSetAbstraction, ScaleSpec
-from repro.nn.setabstraction import GlobalFeatureExtractor
+from repro.nn.setabstraction import GlobalFeatureExtractor, _max_over_neighbors
 
 
 def _block(rng=None, in_channels=2):
@@ -97,6 +97,15 @@ class TestMultiScaleSetAbstraction:
             flat[i] = orig
             nflat[i] = (up - down) / (2 * eps)
         np.testing.assert_allclose(analytic, numeric, atol=1e-5)
+
+
+def test_neighbor_max_pool_matches_argmax_gather():
+    """The running-maximum pool picks exactly the argmax winner's value."""
+    rng = np.random.default_rng(6)
+    per_group = rng.normal(size=(3, 5, 4, 7))
+    per_group[0, 0, 0] = 1.5  # a group of ties
+    reference = np.take_along_axis(per_group, per_group.argmax(axis=3)[..., None], axis=3)
+    assert _max_over_neighbors(per_group).tobytes() == reference[..., 0].tobytes()
 
 
 class TestGlobalFeatureExtractor:

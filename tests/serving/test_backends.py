@@ -156,8 +156,8 @@ class TestAirborneBatches:
         x, _, _ = toy_data
         gate = GateBackend()
         engine = InferenceEngine(fitted, backend=gate)
-        ticket = engine.submit(x[0], deadline_ms=0.0, defer_flush=True)
-        assert engine.poll() == []  # dispatched (stale deadline), airborne
+        ticket = engine.submit(x[0], defer_flush=True)
+        assert engine.poll() == []  # dispatched onto the free slot, airborne
         assert engine.num_in_flight == 1
         gate.release()
         delivered = engine.poll()
@@ -304,18 +304,17 @@ class TestLifecycle:
     def test_bind_backend_change_resets_learned_state(self):
         from repro.serving import BatchScheduler
 
-        scheduler = BatchScheduler(slo_ms=50.0, adapt_margin=True, margin_ms=2.0)
+        scheduler = BatchScheduler(slo_ms=50.0)
         scheduler.bind_backend("process", 4)
         scheduler.observe_batch(4, 0.010)
         scheduler.record_queue_latency(0.5)
-        scheduler.margin_s = 0.02  # as if the controller widened it
         scheduler.bind_backend("inline", 1)
         snap = scheduler.snapshot()
         assert snap["backend"] == "inline" and snap["backend_slots"] == 1
         assert snap["observed_batches"] == 1  # counters keep history...
         assert snap["per_sample_ms"] == 0.0  # ...but the model is fresh
         assert not scheduler.stats.queue_window
-        assert scheduler.margin_s == pytest.approx(2.0 / 1e3)
+        assert not scheduler.stats.wall_window
 
 
 class TestFactoryAndRegistryArenas:

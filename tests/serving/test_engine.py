@@ -198,44 +198,33 @@ class TestStaleDeadlines:
             return self.t
 
     def test_stale_deadline_flushes_immediately(self, fitted, toy_data):
-        """Backdated arrival + tiny budget: the request cannot wait for
-        company — it rides the immediate-flush path on submit."""
+        """Backdated arrival + tiny budget: the request rides the very
+        next poll with no clock advance."""
         x, _, _ = toy_data
         clock = self._Clock()
         engine = InferenceEngine(fitted, max_batch_size=16, clock=clock)
         ticket = engine.submit(x[0], arrival=clock.t - 10.0, deadline_ms=5.0)
-        assert ticket.done  # flushed by the submit itself
-        assert ticket.deadline == clock.t  # clamped, not 9.995 s ago
+        assert engine.poll() == [ticket] and ticket.done
 
-    def test_stale_deadline_never_feeds_negative_slack(self, fitted, toy_data):
-        """Regression: the scheduler must never see negative slack from a
-        stale deadline — pre-clamp, every later submit saw slack < 0,
-        forced a batch-of-1 deadline flush, and the EWMA latency model
-        learned those panic batches as the normal cost profile."""
+    def test_stale_deadline_never_splits_later_batches(self, fitted, toy_data):
+        """Regression: a stale request must not degrade later traffic to
+        panic batch-of-1 dispatches — the healthy submits that queue
+        behind it still ride one shared batch."""
         from repro.serving import BatchScheduler
 
         x, _, _ = toy_data
         clock = self._Clock()
         scheduler = BatchScheduler(slo_ms=50.0, clock=clock)
         engine = InferenceEngine(fitted, max_batch_size=16, scheduler=scheduler)
-        seen_slack = []
-        original = scheduler.should_flush
-
-        def spy(depth, *, slack_s=None):
-            seen_slack.append(slack_s)
-            return original(depth, slack_s=slack_s)
-
-        scheduler.should_flush = spy
         stale = engine.submit(x[0], arrival=clock.t - 3.0, deadline_ms=1.0)
+        engine.poll()
         assert stale.done
-        later = [engine.submit(sample, defer_flush=True) for sample in x[1:4]]
+        later = [engine.submit(sample) for sample in x[1:4]]
+        assert not any(ticket.done for ticket in later)
         clock.t += 0.001
         engine.poll()
-        engine.flush()
         assert all(ticket.done for ticket in later)
-        assert all(slack is None or slack >= 0.0 for slack in seen_slack)
-        # The healthy submits still rode one shared batch, not panic 1s.
-        assert engine.stats.max_batch == 3
+        assert engine.stats.batches == 2 and engine.stats.max_batch == 3
 
 
 class TestBatchedEquivalence:

@@ -195,6 +195,40 @@ class TestFidelity:
                 assert good.gesture >= 0
 
 
+class TestWorkConservingDefaults:
+    """A default gateway answers in about one forward pass when idle."""
+
+    def test_lone_request_answers_well_inside_standard_slo(self, fitted, toy_data):
+        """Stock tenants, inline backend, no client deadline: the request
+        must not be held for most of its 200 ms ``standard`` SLO."""
+        server = GatewayServer(fitted)
+        latencies = []
+        with BackgroundGateway(server) as (host, port):
+            with GatewayClient(host, port, tenant="anyone") as client:
+                assert client.slo_class == "standard" and client.slo_ms == 200.0
+                for sample in _samples(toy_data, 3, seed=11):
+                    start = time.perf_counter()
+                    client.classify(sample)
+                    latencies.append(time.perf_counter() - start)
+        assert sorted(latencies)[1] < 0.100, latencies
+
+    def test_stats_keep_the_keys_benchmarks_read(self, fitted, toy_data):
+        """The STATS snapshot keeps its scheduler/engine counter keys;
+        ``deadline_flushes`` stays, and reads 0 — nothing is held."""
+        server = GatewayServer(fitted)
+        with BackgroundGateway(server) as (host, port):
+            with GatewayClient(host, port, tenant="anyone") as client:
+                client.classify(_samples(toy_data, 1)[0])
+                stats = client.stats()
+        scheduler, engine = stats["scheduler"], stats["engine"]
+        assert scheduler["deadline_flushes"] == 0
+        assert scheduler["depth_flushes"] == 0
+        assert scheduler["slot_flushes"] == 1
+        for key in ("batches", "batched_samples", "hedged_batches", "retried_batches"):
+            assert isinstance(engine[key], int)
+        assert engine["batches"] == 1
+
+
 class TestPooledBackends:
     """The gateway over thread/process pools: overlap without drift."""
 

@@ -20,21 +20,29 @@ Four layers under test:
 
 from __future__ import annotations
 
+import gc
 import json
 import time
+import weakref
 import urllib.request
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.serving import InferenceEngine, ProcessPoolBackend, ThreadPoolBackend
+from repro.serving import (
+    BatchScheduler,
+    InferenceEngine,
+    ProcessPoolBackend,
+    ThreadPoolBackend,
+)
 from repro.serving.observability import (
     CONTENT_TYPE,
     MetricsRegistry,
     MetricsServer,
     TraceLog,
     Tracer,
+    get_metrics,
     parse_text,
     render_text,
 )
@@ -105,6 +113,32 @@ class TestPrimitives:
         assert m.get_sample("repro_snap") == 7.0
         assert m.collector_errors >= 1
         assert m.get_sample("repro_metrics_collector_errors") >= 1.0
+
+    def test_plain_function_collectors_are_held_strongly(self):
+        m = MetricsRegistry()
+        g = m.gauge("repro_snap", "help")
+        m.register_collector(lambda: g.set(3))  # no other reference
+        gc.collect()
+        assert m.num_collectors == 1
+        assert m.get_sample("repro_snap") == 3.0
+
+    def test_dropped_engine_and_scheduler_are_collected(self, fitted):
+        """Regression: a bound-method collector must not pin its owner.
+        An engine (and its scheduler) dropped without ``close()`` is
+        garbage-collected, and the process-global registry's collector
+        count returns to its baseline."""
+        registry = get_metrics()
+        gc.collect()
+        baseline = registry.num_collectors
+        engine = InferenceEngine(fitted, scheduler=BatchScheduler())
+        assert registry.num_collectors == baseline + 2
+        engine_ref = weakref.ref(engine)
+        scheduler_ref = weakref.ref(engine.scheduler)
+        del engine
+        gc.collect()
+        assert engine_ref() is None and scheduler_ref() is None
+        assert registry.num_collectors == baseline
+        render_text(registry)  # a scrape after the drop still works
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""BatchScheduler: deadline-forced flushes and EWMA batch adaptation."""
+"""BatchScheduler: depth trigger, EWMA batch adaptation, and the engine's
+work-conserving dispatch (a batch runs whenever a backend slot is free)."""
 
 import pytest
 
@@ -39,7 +40,7 @@ class TestValidation:
 class TestFlushPolicy:
     def test_empty_queue_never_flushes(self):
         scheduler = BatchScheduler(slo_ms=50.0)
-        assert not scheduler.should_flush(0, slack_s=-1.0)
+        assert not scheduler.should_flush(0)
 
     def test_depth_trigger(self):
         scheduler = BatchScheduler(slo_ms=None, max_batch=4)
@@ -47,26 +48,16 @@ class TestFlushPolicy:
         assert scheduler.should_flush(4)
         assert scheduler.stats.depth_flushes == 1
 
-    def test_deadline_trigger_before_model_is_fitted(self):
-        """With no latency observations, flush exactly when the budget
-        (plus the scheduling margin) runs out."""
-        scheduler = BatchScheduler(slo_ms=50.0, margin_ms=0.0, max_batch=8)
-        assert not scheduler.should_flush(2, slack_s=0.010)
-        assert scheduler.should_flush(2, slack_s=0.0)
-        assert scheduler.stats.deadline_flushes == 1
-
-    def test_deadline_trigger_accounts_for_predicted_latency(self):
-        """Flush early enough that *executing* the batch still meets the
-        deadline: slack <= predicted(depth) + margin."""
-        scheduler = BatchScheduler(slo_ms=50.0, margin_ms=0.0, max_batch=64)
-        scheduler.observe_batch(4, 0.010)  # 2.5 ms / sample
-        assert scheduler.predicted_latency_s(3) == pytest.approx(0.0075)
-        assert scheduler.should_flush(3, slack_s=0.007)
-        assert not scheduler.should_flush(3, slack_s=0.010)
-
     def test_no_slo_and_no_deadline_means_depth_only(self):
         scheduler = BatchScheduler(slo_ms=None, max_batch=16)
-        assert not scheduler.should_flush(15, slack_s=None)
+        assert not scheduler.should_flush(15)
+        assert scheduler.should_flush(16)
+
+    def test_slot_flushes_counted_apart_from_depth(self):
+        scheduler = BatchScheduler(slo_ms=50.0, max_batch=4)
+        scheduler.record_slot_flush()
+        assert scheduler.stats.slot_flushes == 1
+        assert scheduler.stats.depth_flushes == 0
 
 
 class TestAdaptation:
@@ -87,6 +78,13 @@ class TestAdaptation:
         scheduler = BatchScheduler(slo_ms=1000.0, max_batch=8, safety=0.8)
         scheduler.observe_batch(4, 0.001)
         assert scheduler.batch_limit == 8
+
+    def test_predicted_latency_from_one_observation(self):
+        """One observation fits the amortised per-sample cost."""
+        scheduler = BatchScheduler(slo_ms=50.0, max_batch=64)
+        scheduler.observe_batch(4, 0.010)  # 2.5 ms / sample
+        assert scheduler.predicted_latency_s(3) == pytest.approx(0.0075)
+        assert scheduler.predicted_latency_s(0) == 0.0
 
     def test_unfitted_model_allows_max_batch(self):
         scheduler = BatchScheduler(slo_ms=50.0, max_batch=24)
@@ -135,100 +133,8 @@ class TestAdaptation:
         assert snap["slo_ms"] == 50.0
         assert snap["observed_batches"] == 1
         assert snap["batch_limit"] == scheduler.batch_limit
-        assert snap["margin_ms"] == pytest.approx(2.0)
-
-
-class TestMarginController:
-    """p95 safety-margin feedback loop (adapt_margin=True)."""
-
-    @staticmethod
-    def _controller(**kwargs):
-        defaults = dict(
-            slo_ms=50.0, adapt_margin=True, adapt_every=16,
-            margin_bounds_ms=(0.5, 25.0), margin_ms=2.0,
-        )
-        defaults.update(kwargs)
-        return BatchScheduler(**defaults)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            self._controller(margin_bounds_ms=(5.0, 1.0))
-        with pytest.raises(ValueError):
-            self._controller(margin_target=0.0)
-        with pytest.raises(ValueError):
-            self._controller(adapt_every=0)
-
-    def test_breached_p95_widens_margin(self):
-        scheduler = self._controller()
-        for _ in range(16):
-            scheduler.record_queue_latency(0.060)  # 60 ms > 50 ms SLO
-        assert scheduler.margin_s == pytest.approx(0.003)  # 2 ms * 1.5
-        assert scheduler.stats.margin_widened == 1
-
-    def test_comfortable_p95_narrows_margin(self):
-        scheduler = self._controller()
-        for _ in range(16):
-            scheduler.record_queue_latency(0.010)  # far below 0.8 * SLO
-        assert scheduler.margin_s == pytest.approx(0.0017)  # 2 ms * 0.85
-        assert scheduler.stats.margin_narrowed == 1
-
-    def test_dead_band_leaves_margin_alone(self):
-        scheduler = self._controller()
-        for _ in range(48):
-            scheduler.record_queue_latency(0.045)  # inside [0.8*SLO, SLO]
-        assert scheduler.margin_s == pytest.approx(0.002)
-        assert scheduler.stats.margin_widened == 0
-        assert scheduler.stats.margin_narrowed == 0
-
-    def test_margin_clamped_to_bounds(self):
-        scheduler = self._controller(margin_bounds_ms=(1.0, 6.0))
-        for _ in range(16 * 10):  # ten breach decisions
-            scheduler.record_queue_latency(0.200)
-        assert scheduler.margin_s == pytest.approx(0.006)  # upper clamp
-        scheduler = self._controller(margin_bounds_ms=(1.5, 6.0))
-        for _ in range(16 * 10):
-            scheduler.record_queue_latency(0.001)
-        assert scheduler.margin_s == pytest.approx(0.0015)  # lower clamp
-
-    def test_decisions_are_paced_by_adapt_every(self):
-        scheduler = self._controller(adapt_every=32)
-        for _ in range(31):
-            scheduler.record_queue_latency(0.060)
-        assert scheduler.stats.margin_widened == 0  # not yet
-        scheduler.record_queue_latency(0.060)
-        assert scheduler.stats.margin_widened == 1
-
-    def test_disabled_by_default_and_without_slo(self):
-        scheduler = BatchScheduler(slo_ms=50.0)
-        for _ in range(200):
-            scheduler.record_queue_latency(0.500)
-        assert scheduler.margin_s == pytest.approx(0.002)  # untouched
-        scheduler = BatchScheduler(slo_ms=None, adapt_margin=True)
-        for _ in range(200):
-            scheduler.record_queue_latency(0.500)
-        assert scheduler.margin_s == pytest.approx(0.002)
-
-    def test_widened_margin_forces_earlier_flushes(self):
-        """The control output actually reaches the flush policy — and
-        widening escapes even a zero margin (the 0.5 ms seed)."""
-        scheduler = self._controller(margin_ms=0.0, margin_bounds_ms=(0.0, 25.0))
-        assert not scheduler.should_flush(2, slack_s=0.0006)
-        for _ in range(16):
-            scheduler.record_queue_latency(0.060)
-        assert scheduler.margin_s == pytest.approx(0.00075)  # 0.5 ms * 1.5
-        assert scheduler.should_flush(2, slack_s=0.0006)
-
-    def test_recovers_throughput_after_transient_spike(self):
-        """Widen on a spike, then creep back down once p95 recovers."""
-        scheduler = self._controller(window=64, adapt_every=16)
-        for _ in range(64):
-            scheduler.record_queue_latency(0.080)  # sustained breach
-        widened = scheduler.margin_s
-        assert widened > 0.002
-        for _ in range(256):
-            scheduler.record_queue_latency(0.005)  # calm again
-        assert scheduler.margin_s < widened
-        assert scheduler.stats.margin_narrowed >= 1
+        assert snap["slot_flushes"] == 0
+        assert "margin_ms" not in snap
 
 
 class TestRequestOrder:
@@ -250,35 +156,50 @@ class TestRequestOrder:
         ]
 
 
-class TestEngineIntegration:
-    def test_poll_deadline_forces_flush(self, fitted, toy_data):
-        """A lone queued request is released when its SLO budget runs
-        out — the unbounded-wait gap this scheduler exists to close."""
-        x, _, _ = toy_data
-        clock = FakeClock()
-        scheduler = BatchScheduler(
-            slo_ms=50.0, max_batch=16, margin_ms=0.0, clock=clock
-        )
-        engine = InferenceEngine(fitted, max_batch_size=16, scheduler=scheduler)
-        ticket = engine.submit(x[0])
-        clock.advance(0.040)
-        assert engine.poll() == [] and not ticket.done
-        clock.advance(0.011)  # past the 50 ms budget
-        flushed = engine.poll()
-        assert ticket.done and flushed == [ticket]
-        assert scheduler.stats.deadline_flushes == 1
+class TestWorkConservingDefaults:
+    """Sane defaults: an idle engine answers in one forward pass."""
 
-    def test_per_request_deadline_beats_global_slo(self, fitted, toy_data):
+    def test_lone_submit_delivers_on_first_poll(self, fitted, toy_data):
+        """A lone request is dispatched by the first poll that finds a
+        free slot — it never waits out its SLO budget for company."""
         x, _, _ = toy_data
         clock = FakeClock()
-        scheduler = BatchScheduler(
-            slo_ms=500.0, max_batch=16, margin_ms=0.0, clock=clock
-        )
+        scheduler = BatchScheduler(clock=clock)
+        engine = InferenceEngine(fitted, scheduler=scheduler)
+        ticket = engine.submit(x[0])
+        assert not ticket.done  # submit alone only fires the depth trigger
+        assert engine.poll() == [ticket]
+        assert ticket.done and clock.t == 0.0
+        assert scheduler.stats.slot_flushes == 1
+        assert scheduler.stats.depth_flushes == 0
+
+    def test_round_of_submits_rides_one_batch(self, fitted, toy_data):
+        """Submit a whole round, then poll once: still one batch."""
+        x, _, _ = toy_data
+        clock = FakeClock()
+        engine = InferenceEngine(fitted, scheduler=BatchScheduler(clock=clock))
+        tickets = [engine.submit(sample) for sample in x[:8]]
+        delivered = engine.poll()
+        assert delivered == tickets and clock.t == 0.0
+        assert engine.stats.batches == 1 and engine.stats.max_batch == 8
+
+
+class TestEngineIntegration:
+    def test_per_request_deadline_beats_global_slo(self, fitted, toy_data):
+        """Deadlines order the drain: a request with its own tight budget
+        is placed ahead of earlier arrivals riding the global SLO."""
+        x, _, _ = toy_data
+        clock = FakeClock()
+        scheduler = BatchScheduler(slo_ms=500.0, max_batch=16, clock=clock)
         engine = InferenceEngine(fitted, max_batch_size=16, scheduler=scheduler)
-        urgent = engine.submit(x[0], deadline_ms=10.0)
-        clock.advance(0.011)
+        order = []
+        relaxed = engine.submit(x[1], callback=lambda _: order.append("relaxed"))
+        urgent = engine.submit(
+            x[0], deadline_ms=10.0, callback=lambda _: order.append("urgent")
+        )
         engine.poll()
-        assert urgent.done  # its own 10 ms budget won, not the 500 ms SLO
+        assert urgent.done and relaxed.done
+        assert order == ["urgent", "relaxed"]
 
     def test_submit_autoflushes_at_adaptive_limit(self, fitted, toy_data):
         x, _, _ = toy_data
@@ -295,15 +216,15 @@ class TestEngineIntegration:
     def test_engine_without_scheduler_honours_explicit_deadline(
         self, fitted, toy_data
     ):
+        """The deadline is kept for ordering; the request does not wait
+        for it — the first poll dispatches onto the free slot."""
         x, _, _ = toy_data
         clock = FakeClock()
         engine = InferenceEngine(fitted, max_batch_size=16, clock=clock)
         ticket = engine.submit(x[0], deadline_ms=20.0)
         assert ticket.arrival == 0.0 and ticket.deadline == pytest.approx(0.020)
-        assert engine.poll() == []
-        clock.advance(0.021)
-        engine.poll()
-        assert ticket.done
+        assert engine.poll() == [ticket]
+        assert ticket.done and clock.t == 0.0
 
     def test_queue_latency_recorded_from_arrival(self, fitted, toy_data):
         x, _, _ = toy_data

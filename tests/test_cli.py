@@ -145,9 +145,13 @@ class TestCliWorkflow:
         assert stats["model_swaps"] == 0  # checkpoint never overwritten
         assert stats["slo_ms"] == 50.0
         assert 1 <= stats["batch_limit"] <= 32
+        # The flush-trigger keys stay in the JSON; nothing is held for a
+        # deadline any more, so that trigger always reads 0.
+        assert stats["deadline_flushes"] == 0
         if code == 0:
             # Any delivery under a scheduler records its queue latency.
             assert stats["queue_p95_ms"] is not None
+            assert stats["depth_flushes"] + stats["slot_flushes"] >= 1
 
     def test_session_rejects_too_few_samples(self, tmp_path, capsys):
         data_path = str(tmp_path / "data.npz")
